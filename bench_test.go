@@ -132,6 +132,24 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkEmit is the emit layer of the simulator pipeline on its own:
+// one EmitBatch pass per workload into a sink that discards the chunks.
+// Its B/op shows whether the phase buffers are being reused.
+func BenchmarkEmit(b *testing.B) {
+	opt := benchOptions()
+	for _, name := range workload.Names() {
+		wl := workload.ByName(name, opt.Scale)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var refs int64
+			for i := 0; i < b.N; i++ {
+				wl.EmitBatch(opt.Geometry, opt.Quantum, func(r []trace.Ref) { refs += int64(len(r)) })
+			}
+			b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "refs/s")
+		})
+	}
+}
+
 // BenchmarkApplyHotPath measures the per-reference cost of the full
 // system (L1 + bus + NC + directory) on an L1-hit-heavy stream.
 func BenchmarkApplyHotPath(b *testing.B) {

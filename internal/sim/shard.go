@@ -39,7 +39,7 @@ const (
 	// ParWindow is the scheduling window: how many references are
 	// scanned, classified and executed as one parallel unit. Exported
 	// for callers that batch their own delivery (the facade's cell
-	// engine accumulates EmitBatch turns up to this size).
+	// engine accumulates EmitBatch chunks into windows of this size).
 	ParWindow = 8192
 	// parMinBatch is the smallest ApplyBatch slice worth scheduling;
 	// below it the sequential loop (which keeps the touch table

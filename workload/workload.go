@@ -19,7 +19,9 @@ package workload
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 
 	"dsmnc/memsys"
 	"dsmnc/trace"
@@ -73,18 +75,22 @@ func (b *Bench) Emit(g memsys.Geometry, quantum int, sink func(trace.Ref)) {
 	e := NewEmitter(g.Procs(), quantum, sink)
 	b.run(e)
 	e.Barrier()
+	e.release()
 }
 
-// EmitBatch is Emit delivering each processor turn as one slice instead
-// of one call per reference: the stream, flattened, is identical to what
-// Emit produces, but the per-reference closure dispatch is amortized over
-// the quantum. The slice is only valid during the callback — the emitter
-// reuses its buffers.
+// EmitBatch is Emit delivering the interleaved stream in chunks of at
+// most 4096 references instead of one call per reference: the chunks,
+// concatenated, are exactly the stream Emit produces, but the
+// per-reference closure dispatch is amortized over a chunk. Chunk
+// boundaries carry no meaning — a processor turn may straddle two
+// chunks. The slice is only valid during the callback: the emitter
+// overwrites it with the next chunk.
 func (b *Bench) EmitBatch(g memsys.Geometry, quantum int, sink func([]trace.Ref)) {
 	e := NewEmitter(g.Procs(), quantum, nil)
 	e.batch = sink
 	b.run(e)
 	e.Barrier()
+	e.release()
 }
 
 // Source returns the benchmark's trace as a pull Source. The entire trace
@@ -100,8 +106,15 @@ func (b *Bench) Source(g memsys.Geometry, quantum int) trace.Source {
 // Barrier at synchronization points; the emitter also flushes on its own
 // when the buffered phase grows too large, preserving per-processor
 // program order either way.
+//
+// The phase buffers are packed (see procBuf). Bench.Emit and EmitBatch
+// hand their emitter back to a package idle list once done, so a cell
+// starts with the buffers an earlier cell already grew instead of
+// regrowing its own.
 type Emitter struct {
-	bufs     [][]trace.Ref
+	bufs     []procBuf
+	pos      []int       // per-processor cursor of the flush in progress
+	chunk    []trace.Ref // interleaved references awaiting delivery
 	sink     func(trace.Ref)
 	batch    func([]trace.Ref) // when non-nil, used instead of sink
 	quantum  int
@@ -110,20 +123,74 @@ type Emitter struct {
 	emitted  int64
 }
 
+// procBuf is one processor's buffered phase, packed: the addresses in
+// program order plus a bitset whose bit i is set when reference i is a
+// write. The PID is the buffer's index. That is 8 bytes and a bit per
+// reference against a trace.Ref's 16, and every memsys.Addr survives.
+type procBuf struct {
+	addrs  []memsys.Addr
+	writes []uint64
+}
+
+// idle holds up to GOMAXPROCS released emitters, their buffers empty
+// but keeping their capacity. It is a plain list rather than a
+// sync.Pool: a pool parks an item in the putting P's private slot,
+// where a goroutine running on another P cannot reach it, so a sweep
+// that collects between cells (and so is often resumed on another P)
+// regrew about half its buffers anyway. The price is that idle buffers
+// stay live until reused.
+var idle struct {
+	sync.Mutex
+	emitters []*Emitter
+}
+
 // DefaultFlushAt bounds phase buffering (references across all
 // processors) before an automatic interleave-and-flush.
 const DefaultFlushAt = 1 << 22
+
+// chunkRefs is the size of the chunks flush interleaves into.
+const chunkRefs = 4096
 
 // NewEmitter builds an emitter for nproc processors.
 func NewEmitter(nproc, quantum int, sink func(trace.Ref)) *Emitter {
 	if quantum < 1 {
 		quantum = 1
 	}
-	return &Emitter{
-		bufs:    make([][]trace.Ref, nproc),
+	var e *Emitter
+	idle.Lock()
+	if n := len(idle.emitters); n > 0 {
+		e = idle.emitters[n-1]
+		idle.emitters = idle.emitters[:n-1]
+	}
+	idle.Unlock()
+	if e == nil {
+		e = &Emitter{chunk: make([]trace.Ref, 0, chunkRefs)}
+	}
+	bufs, pos := e.bufs, e.pos
+	if cap(bufs) < nproc {
+		bufs = append(bufs[:cap(bufs)], make([]procBuf, nproc-cap(bufs))...)
+		pos = make([]int, cap(bufs))
+	}
+	*e = Emitter{
+		bufs:    bufs[:nproc],
+		pos:     pos[:nproc],
+		chunk:   e.chunk,
 		sink:    sink,
 		quantum: quantum,
 		flushAt: DefaultFlushAt,
+	}
+	return e
+}
+
+// release hands the emitter to the idle list. It is called once the
+// stream is fully delivered (after the final Barrier, when every buffer
+// is empty); the emitter must not be used afterwards.
+func (e *Emitter) release() {
+	e.sink, e.batch = nil, nil
+	idle.Lock()
+	defer idle.Unlock()
+	if len(idle.emitters) < runtime.GOMAXPROCS(0) {
+		idle.emitters = append(idle.emitters, e)
 	}
 }
 
@@ -134,15 +201,23 @@ func (e *Emitter) Procs() int { return len(e.bufs) }
 func (e *Emitter) Emitted() int64 { return e.emitted }
 
 // Read emits a read by processor pid at address a.
-func (e *Emitter) Read(pid int, a memsys.Addr) {
-	e.bufs[pid] = append(e.bufs[pid], trace.Ref{PID: int32(pid), Op: trace.Read, Addr: a})
-	e.bump()
-}
+func (e *Emitter) Read(pid int, a memsys.Addr) { e.add(pid, a, trace.Read) }
 
 // Write emits a write by processor pid at address a.
-func (e *Emitter) Write(pid int, a memsys.Addr) {
-	e.bufs[pid] = append(e.bufs[pid], trace.Ref{PID: int32(pid), Op: trace.Write, Addr: a})
-	e.bump()
+func (e *Emitter) Write(pid int, a memsys.Addr) { e.add(pid, a, trace.Write) }
+
+func (e *Emitter) add(pid int, a memsys.Addr, op trace.Op) {
+	b := &e.bufs[pid]
+	n := len(b.addrs)
+	if n&63 == 0 {
+		b.writes = append(b.writes, 0)
+	}
+	b.writes[n>>6] |= uint64(op) << (n & 63)
+	b.addrs = append(b.addrs, a)
+	e.buffered++
+	if e.buffered >= e.flushAt {
+		e.flush()
+	}
 }
 
 // ReadRange emits sequential reads covering [a, a+bytes) at the given
@@ -157,12 +232,13 @@ func (e *Emitter) WriteRange(pid int, a memsys.Addr, bytes, grain int64) {
 }
 
 // emitRange appends a whole sequential run in chunks instead of going
-// through the per-reference Read/Write + bump path — ranges are the bulk
-// of the SPLASH-2 kernels' references, and the chunked form removes a
-// call, a flush check and an append bounds dance per reference. Flush
-// points are reproduced exactly: the original flushed the moment the
-// buffered count reached flushAt, so each chunk is capped at the room
-// left before the threshold.
+// through the per-reference add path — ranges are the bulk of the
+// SPLASH-2 kernels' references, and the chunked form removes a call, a
+// flush check and an append bounds dance per reference, and sets a
+// write run's bits a word at a time. Flush points are reproduced
+// exactly: the per-reference path flushes the moment the buffered count
+// reaches flushAt, so each chunk is capped at the room left before the
+// threshold.
 func (e *Emitter) emitRange(pid int, a memsys.Addr, bytes, grain int64, op trace.Op) {
 	if grain <= 0 || bytes <= 0 {
 		return
@@ -174,19 +250,27 @@ func (e *Emitter) emitRange(pid int, a memsys.Addr, bytes, grain int64, op trace
 		if room := int64(e.flushAt - e.buffered); chunk > room {
 			chunk = room
 		}
-		buf := e.bufs[pid]
-		base := len(buf)
+		b := &e.bufs[pid]
+		base := len(b.addrs)
 		need := base + int(chunk)
-		if cap(buf) < need {
-			buf = slices.Grow(buf, int(chunk))
-		}
-		buf = buf[:need]
-		p32 := int32(pid)
+		addrs := slices.Grow(b.addrs, int(chunk))[:need]
 		for i := base; i < need; i++ {
-			buf[i] = trace.Ref{PID: p32, Op: op, Addr: a + memsys.Addr(off)}
+			addrs[i] = a + memsys.Addr(off)
 			off += grain
 		}
-		e.bufs[pid] = buf
+		b.addrs = addrs
+		words := (need + 63) >> 6
+		if have := len(b.writes); have < words {
+			b.writes = slices.Grow(b.writes, words-have)[:words]
+			clear(b.writes[have:])
+		}
+		if op == trace.Write {
+			for lo := base; lo < need; {
+				k := min(64-lo&63, need-lo)
+				b.writes[lo>>6] |= (1<<k - 1) << (lo & 63)
+				lo += k
+			}
+		}
 		e.buffered += int(chunk)
 		n -= chunk
 		if e.buffered >= e.flushAt {
@@ -195,51 +279,69 @@ func (e *Emitter) emitRange(pid int, a memsys.Addr, bytes, grain int64, op trace
 	}
 }
 
-func (e *Emitter) bump() {
-	e.buffered++
-	if e.buffered >= e.flushAt {
-		e.flush()
-	}
-}
-
 // Barrier flushes all buffered streams: every processor reaches the
 // barrier before any post-barrier reference is emitted.
 func (e *Emitter) Barrier() { e.flush() }
 
+// flush interleaves the buffered phase round-robin, quantum references
+// per processor turn, into the chunk, delivering it each time it fills
+// and once more at the end.
 func (e *Emitter) flush() {
 	if e.buffered == 0 {
 		return
 	}
-	sink, batch, quantum := e.sink, e.batch, e.quantum
-	pos := make([]int, len(e.bufs))
-	remaining := e.buffered
-	for remaining > 0 {
+	quantum, pos, chunk := e.quantum, e.pos, e.chunk[:0]
+	clear(pos)
+	for remaining := e.buffered; remaining > 0; {
 		for p := range e.bufs {
-			buf := e.bufs[p]
-			i := pos[p]
-			end := i + quantum
-			if end > len(buf) {
-				end = len(buf)
+			b := &e.bufs[p]
+			i, end := pos[p], len(b.addrs)
+			if end-i > quantum {
+				end = i + quantum
 			}
 			if i == end {
 				continue
 			}
-			if batch != nil {
-				batch(buf[i:end])
-			} else {
-				for j := i; j < end; j++ {
-					sink(buf[j])
-				}
-			}
 			remaining -= end - i
 			pos[p] = end
+			pid := int32(p)
+			for i < end {
+				n := len(chunk)
+				dst := chunk[n : n+min(end-i, cap(chunk)-n)]
+				for k := range dst {
+					j := i + k
+					dst[k] = trace.Ref{PID: pid, Op: trace.Op(b.writes[j>>6] >> (j & 63) & 1), Addr: b.addrs[j]}
+				}
+				i += len(dst)
+				chunk = chunk[:n+len(dst)]
+				if len(chunk) == cap(chunk) {
+					e.deliver(chunk)
+					chunk = chunk[:0]
+				}
+			}
 		}
+	}
+	if len(chunk) > 0 {
+		e.deliver(chunk)
 	}
 	e.emitted += int64(e.buffered)
 	for p := range e.bufs {
-		e.bufs[p] = e.bufs[p][:0]
+		e.bufs[p].addrs = e.bufs[p].addrs[:0]
+		e.bufs[p].writes = e.bufs[p].writes[:0]
 	}
 	e.buffered = 0
+}
+
+// deliver hands one chunk to the batch sink, or reference by reference
+// to the per-reference sink.
+func (e *Emitter) deliver(refs []trace.Ref) {
+	if e.batch != nil {
+		e.batch(refs)
+		return
+	}
+	for _, r := range refs {
+		e.sink(r)
+	}
 }
 
 // layout is a bump allocator of page-aligned regions in the shared

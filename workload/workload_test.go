@@ -1,7 +1,12 @@
 package workload
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"dsmnc/memsys"
@@ -242,5 +247,288 @@ func TestPerProcOrderPreserved(t *testing.T) {
 	collect(8)
 	if !reflect.DeepEqual(p0q1, byProc[0]) {
 		t.Fatal("P0 program order depends on interleaving quantum")
+	}
+}
+
+// oracleFlush is the emitter's interleave as it was before the phase
+// buffers were packed and delivery chunked, kept as the reference:
+// phase holds each processor's buffered references in program order,
+// and turn receives each processor turn as one slice.
+func oracleFlush(phase [][]trace.Ref, quantum int, turn func([]trace.Ref)) {
+	pos := make([]int, len(phase))
+	remaining := 0
+	for _, buf := range phase {
+		remaining += len(buf)
+	}
+	for remaining > 0 {
+		for p, buf := range phase {
+			i := pos[p]
+			end := i + quantum
+			if end > len(buf) {
+				end = len(buf)
+			}
+			if i == end {
+				continue
+			}
+			turn(buf[i:end])
+			remaining -= end - i
+			pos[p] = end
+		}
+	}
+}
+
+// emitWith runs b's generator the way Bench.Emit and Bench.EmitBatch do,
+// but with an arbitrary flush threshold.
+func emitWith(b *Bench, nproc, quantum, flushAt int, sink func(trace.Ref), batch func([]trace.Ref)) {
+	e := NewEmitter(nproc, quantum, sink)
+	e.batch = batch
+	e.flushAt = flushAt
+	b.run(e)
+	e.Barrier()
+	e.release()
+}
+
+// phasesOf returns b's buffered phases, one per flush, each as the
+// per-processor program order. With a quantum no turn can fill, a flush
+// hands over every processor's buffer whole, and Emitted, read during
+// delivery, still counts only the earlier flushes — so it names the
+// flush each reference belongs to.
+func phasesOf(b *Bench, nproc, flushAt int) [][][]trace.Ref {
+	var phases [][][]trace.Ref
+	flush := int64(-1)
+	var e *Emitter
+	e = NewEmitter(nproc, math.MaxInt, func(r trace.Ref) {
+		if e.Emitted() != flush {
+			flush = e.Emitted()
+			phases = append(phases, make([][]trace.Ref, nproc))
+		}
+		ph := phases[len(phases)-1]
+		ph[r.PID] = append(ph[r.PID], r)
+	})
+	e.flushAt = flushAt
+	b.run(e)
+	e.Barrier()
+	e.release()
+	return phases
+}
+
+// streamCheck compares a delivered stream against want reference by
+// reference, without materializing it.
+type streamCheck struct {
+	t    *testing.T
+	name string
+	want []trace.Ref
+	n    int
+	bad  bool
+}
+
+func (c *streamCheck) ref(r trace.Ref) {
+	if c.bad {
+		return
+	}
+	if c.n >= len(c.want) || r != c.want[c.n] {
+		c.bad = true
+		c.t.Errorf("%s: ref %d = %v, oracle has %d refs", c.name, c.n, r, len(c.want))
+		if c.n < len(c.want) {
+			c.t.Errorf("%s: oracle ref %d = %v", c.name, c.n, c.want[c.n])
+		}
+	}
+	c.n++
+}
+
+func (c *streamCheck) done() {
+	if !c.bad && c.n != len(c.want) {
+		c.t.Errorf("%s: delivered %d refs, oracle %d", c.name, c.n, len(c.want))
+	}
+}
+
+// TestEmitterMatchesOracle: the packed, chunked emitter must deliver
+// exactly the stream of the per-turn interleave it replaced, for every
+// workload, through both Emit and EmitBatch, at several quanta (7 does
+// not divide the chunk size, so turns straddle chunks) and flush
+// thresholds, and EmitBatch must never exceed the chunk size. -short
+// (the race pass) keeps only the straddling quantum.
+func TestEmitterMatchesOracle(t *testing.T) {
+	nproc := testGeo.Procs()
+	quanta := []int{1, 4, 7}
+	if testing.Short() {
+		quanta = []int{7}
+	}
+	for _, b := range All(ScaleTest) {
+		for _, flushAt := range []int{DefaultFlushAt, 1000} {
+			phases := phasesOf(b, nproc, flushAt)
+			for _, quantum := range quanta {
+				var want []trace.Ref
+				for _, ph := range phases {
+					oracleFlush(ph, quantum, func(turn []trace.Ref) { want = append(want, turn...) })
+				}
+				name := fmt.Sprintf("%s/flushAt=%d/q=%d", b.Name, flushAt, quantum)
+				one := &streamCheck{t: t, name: name + "/Emit", want: want}
+				many := &streamCheck{t: t, name: name + "/EmitBatch", want: want}
+				batch := func(refs []trace.Ref) {
+					if len(refs) == 0 || len(refs) > chunkRefs {
+						t.Fatalf("%s: EmitBatch delivered %d refs, want 1..%d", name, len(refs), chunkRefs)
+					}
+					for _, r := range refs {
+						many.ref(r)
+					}
+				}
+				if flushAt == DefaultFlushAt {
+					b.Emit(testGeo, quantum, one.ref)
+					b.EmitBatch(testGeo, quantum, batch)
+				} else {
+					emitWith(b, nproc, quantum, flushAt, one.ref, nil)
+					emitWith(b, nproc, quantum, flushAt, nil, batch)
+				}
+				one.done()
+				many.done()
+			}
+		}
+	}
+}
+
+// TestEmitBatchTurnStraddlesChunk pins the chunk contract on a turn
+// that does not fit: P1's first turn starts 3000 references into the
+// first chunk and must continue at the head of the second.
+func TestEmitBatchTurnStraddlesChunk(t *testing.T) {
+	var batches [][]trace.Ref
+	b := &Bench{Name: "straddle", run: func(e *Emitter) {
+		for p := 0; p < 2; p++ {
+			e.WriteRange(p, memsys.Addr(p)<<20, 5000*8, 8)
+		}
+	}}
+	b.EmitBatch(memsys.Geometry{Clusters: 1, ProcsPerCluster: 2}, 3000,
+		func(refs []trace.Ref) { batches = append(batches, slices.Clone(refs)) })
+	if len(batches) != 3 || len(batches[0]) != chunkRefs || len(batches[1]) != chunkRefs {
+		t.Fatalf("batch sizes wrong: %d batches", len(batches))
+	}
+	last, next := batches[0][chunkRefs-1], batches[1][0]
+	if last.PID != 1 || next.PID != 1 || next.Addr != last.Addr+8 {
+		t.Fatalf("turn not continued across the chunk boundary: %v then %v", last, next)
+	}
+	var phase [][]trace.Ref
+	phase = append(phase, nil, nil)
+	for _, bt := range batches {
+		for _, r := range bt {
+			phase[r.PID] = append(phase[r.PID], r)
+		}
+	}
+	var want, got []trace.Ref
+	oracleFlush(phase, 3000, func(turn []trace.Ref) { want = append(want, turn...) })
+	for _, bt := range batches {
+		got = append(got, bt...)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("straddling stream differs from the oracle interleave")
+	}
+}
+
+// TestEmitterPackingLossless: every memsys.Addr and both ops must come
+// out of the packed buffers unchanged, through the per-reference and the
+// range entry points, including write runs that start and end inside a
+// bitset word.
+func TestEmitterPackingLossless(t *testing.T) {
+	addrs := []memsys.Addr{0, memsys.MaxAddr, memsys.MaxAddr + 1, 1 << 62, 1 << 63, ^memsys.Addr(0)}
+	var want, got []trace.Ref
+	e := NewEmitter(1, 1, func(r trace.Ref) { got = append(got, r) })
+	add := func(op trace.Op, a memsys.Addr) { want = append(want, trace.Ref{Op: op, Addr: a}) }
+	for _, a := range addrs {
+		e.Read(0, a)
+		add(trace.Read, a)
+		e.Write(0, a)
+		add(trace.Write, a)
+		e.ReadRange(0, a, 3*8, 8)
+		for i := 0; i < 3; i++ {
+			add(trace.Read, a+memsys.Addr(i*8))
+		}
+		e.WriteRange(0, a, 70*64, 64)
+		for i := 0; i < 70; i++ {
+			add(trace.Write, a+memsys.Addr(i*64))
+		}
+	}
+	e.Barrier()
+	if !reflect.DeepEqual(got, want) {
+		for i := range want {
+			if i >= len(got) || got[i] != want[i] {
+				t.Fatalf("ref %d = %v, want %v (%d of %d delivered)", i, got[min(i, len(got)-1)], want[i], len(got), len(want))
+			}
+		}
+		t.Fatalf("delivered %d refs, want %d", len(got), len(want))
+	}
+}
+
+// TestEmitBatchReusesBuffers guards buffer reuse: once a warm-up
+// emission has grown the idle phase buffers, emitting the same trace
+// again must allocate under 1% of its packed size, even with a
+// collection in between.
+func TestEmitBatchReusesBuffers(t *testing.T) {
+	for _, b := range All(ScaleTest) {
+		var refs int64
+		b.EmitBatch(testGeo, 4, func(r []trace.Ref) { refs += int64(len(r)) })
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.EmitBatch(testGeo, 4, func([]trace.Ref) {})
+		runtime.ReadMemStats(&after)
+		alloc := after.TotalAlloc - before.TotalAlloc
+		packed := uint64(refs) * 8
+		t.Logf("%s: %d refs, warm emission allocated %d B (%.3f%% of %d packed B)",
+			b.Name, refs, alloc, 100*float64(alloc)/float64(packed), packed)
+		if alloc*100 >= packed {
+			t.Errorf("%s: warm EmitBatch allocated %d B, want under 1%% of the %d packed bytes", b.Name, alloc, packed)
+		}
+	}
+}
+
+// TestEmitConcurrentReuse: emitters running at once, as in a sweep's
+// worker pool, must each get buffers of their own from the idle list
+// and hand back every stream exactly as a lone emitter does, also when
+// a reused emitter served a machine with fewer or more processors.
+func TestEmitConcurrentReuse(t *testing.T) {
+	benches := []*Bench{FFT(ScaleTest), LU(ScaleTest), Ocean(ScaleTest), Barnes(ScaleTest)}
+	geos := []memsys.Geometry{testGeo, {Clusters: 2, ProcsPerCluster: 2}, {Clusters: 9, ProcsPerCluster: 5}, {Clusters: 3, ProcsPerCluster: 1}}
+	digest := func(i int) uint64 {
+		h := uint64(14695981039346656037)
+		benches[i].EmitBatch(geos[i], 4, func(refs []trace.Ref) {
+			for _, r := range refs {
+				h = (h ^ uint64(r.PID)<<56 ^ uint64(r.Op)<<48 ^ uint64(r.Addr)) * 1099511628211
+			}
+		})
+		return h
+	}
+	want := make([]uint64, len(benches))
+	for i := range benches {
+		want[i] = digest(i)
+	}
+	var wg sync.WaitGroup
+	for i, b := range benches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				if got := digest(i); got != want[i] {
+					t.Errorf("%s on %d procs, round %d: stream digest %#x, want %#x", b.Name, geos[i].Procs(), round, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestEmitterReuseAcrossMachineSizes: one emitter, reused from the idle
+// list for machines of changing size, including sizes its grown
+// per-processor slices hold spare capacity for.
+func TestEmitterReuseAcrossMachineSizes(t *testing.T) {
+	for _, procs := range []int{3, 45, 47, 48, 2, 64} {
+		g := memsys.Geometry{Clusters: procs, ProcsPerCluster: 1}
+		b := Sequential(4096, 1)
+		var want, got []trace.Ref
+		for _, ph := range phasesOf(b, procs, DefaultFlushAt) {
+			oracleFlush(ph, 4, func(turn []trace.Ref) { want = append(want, turn...) })
+		}
+		b.Emit(g, 4, func(r trace.Ref) { got = append(got, r) })
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d procs: %d refs delivered, oracle %d", procs, len(got), len(want))
+		}
 	}
 }
